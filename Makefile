@@ -30,10 +30,14 @@ lint:
 # package in the module (the race gate covers the worker pool, parallel
 # kernels, parallel ALSH workers, tracer/metrics registry, the
 # checkpoint/resume machinery, and the serving layer's concurrent
-# predict + hot-swap path; internal/bench dominates the runtime).
+# predict + hot-swap path; internal/bench dominates the runtime). The
+# benchmark harness is its own module, so it is vetted and tested from
+# its own directory: its wrapper test pins each method's set of optional
+# core interfaces.
 tier1: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 10x .

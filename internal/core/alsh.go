@@ -2,13 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"samplednn/internal/lsh"
 	"samplednn/internal/nn"
 	"samplednn/internal/obs"
-	"samplednn/internal/obs/trace"
 	"samplednn/internal/opt"
 	"samplednn/internal/rng"
 	"samplednn/internal/tensor"
@@ -75,30 +72,23 @@ func (c *ALSHConfig) setDefaults() {
 // queries the index; the union of colliding columns across L tables
 // becomes the layer's active node set; forward, backward, and the
 // optimizer step run only on that set. Updated columns are re-hashed on
-// the paper's growing cadence.
+// the paper's growing cadence, timed as Timing().Maintain.
 //
 // Unlike Dropout there is no 1/p rescaling: the method treats the skipped
 // inner products as exactly zero, which is the estimation-error source
 // the §7 analysis bounds.
 type ALSHApprox struct {
-	net    *nn.Network
-	optim  opt.Optimizer
+	colSampler
 	cfg    ALSHConfig
-	g      *rng.RNG
 	minAct []int
 
 	indexes []*lsh.MIPSIndex
-	states  []*activeState
-	grads   []nn.Grads
-	touched []map[int]struct{} // columns updated since last re-hash
-	samples int                // training samples processed
-	lastUpd int                // samples count at last re-hash
-	timing  Timing
+	touched []colSet // columns updated since last re-hash
+	samples int      // training samples processed
+	lastUpd int      // samples count at last re-hash
 	// actDists[i] records hidden layer i's active-set sizes since the
 	// last ResetTiming (nil for the exact output layer).
 	actDists []*obs.Distribution
-
-	queryBuf []int
 }
 
 // NewALSHApprox builds per-hidden-layer MIPS indexes over net's weights.
@@ -108,27 +98,21 @@ func NewALSHApprox(net *nn.Network, optim opt.Optimizer, cfg ALSHConfig, g *rng.
 	}
 	cfg.setDefaults()
 	a := &ALSHApprox{
-		net: net, optim: optim, cfg: cfg, g: g,
+		cfg:      cfg,
 		indexes:  make([]*lsh.MIPSIndex, len(net.Layers)),
-		states:   make([]*activeState, len(net.Layers)),
-		grads:    make([]nn.Grads, len(net.Layers)),
-		touched:  make([]map[int]struct{}, len(net.Layers)),
+		touched:  make([]colSet, len(net.Layers)),
 		minAct:   make([]int, len(net.Layers)),
 		actDists: make([]*obs.Distribution, len(net.Layers)),
 	}
+	a.colSampler = newColSampler("alsh", net, optim, g, a)
 	last := len(net.Layers) - 1
-	for i, l := range net.Layers {
-		if i == last {
-			continue // output layer stays exact
-		}
+	for i, l := range net.Layers[:last] {
 		idx, err := lsh.NewMIPSIndex(l.FanIn(), l.FanOut(), cfg.Params, g.Split())
 		if err != nil {
 			return nil, fmt.Errorf("core: layer %d index: %w", i, err)
 		}
 		idx.Rebuild(l.W)
 		a.indexes[i] = idx
-		a.states[i] = &activeState{}
-		a.touched[i] = make(map[int]struct{})
 		a.minAct[i] = cfg.MinActive
 		if a.minAct[i] <= 0 {
 			a.minAct[i] = max(4, l.FanOut()/100)
@@ -137,19 +121,6 @@ func NewALSHApprox(net *nn.Network, optim opt.Optimizer, cfg ALSHConfig, g *rng.
 	}
 	return a, nil
 }
-
-// Name returns "alsh".
-func (a *ALSHApprox) Name() string { return "alsh" }
-
-// Axis returns AxisColumns.
-func (a *ALSHApprox) Axis() Axis { return AxisColumns }
-
-// Net returns the wrapped network.
-func (a *ALSHApprox) Net() *nn.Network { return a.net }
-
-// Timing returns the cumulative phase timings. Maintain covers the hash
-// re-hashing work.
-func (a *ALSHApprox) Timing() Timing { return a.timing }
 
 // ResetTiming zeroes the timings and the per-layer active-set-size
 // distributions, so both align with the trainer's per-epoch window.
@@ -207,139 +178,45 @@ func (a *ALSHApprox) IndexMemory() int {
 	return total
 }
 
-// activeSet queries the layer's index with every row of x and unions the
-// candidates, padding with random nodes up to the floor and truncating at
-// the cap.
-func (a *ALSHApprox) activeSet(layer int, x *tensor.Matrix) []int {
-	idx := a.indexes[layer]
-	n := a.net.Layers[layer].FanOut()
-	if x.Rows == 1 {
-		a.queryBuf = idx.Query(x.RowView(0), a.queryBuf)
-	} else {
-		set := map[int]struct{}{}
-		for i := 0; i < x.Rows; i++ {
-			a.queryBuf = idx.Query(x.RowView(i), a.queryBuf)
-			for _, c := range a.queryBuf {
-				set[c] = struct{}{}
-			}
-		}
-		a.queryBuf = a.queryBuf[:0]
-		for c := range set {
-			a.queryBuf = append(a.queryBuf, c)
-		}
-	}
-	return padActive(a.queryBuf, n, a.minAct[layer], a.cfg.MaxActiveFrac, a.g)
-}
-
-// ApproxForward replays the hash-sampled feedforward pass on x without
-// touching training state: active sets come from the live indexes (the
-// same lookups a Step would do) but padding randomness comes from g, all
-// buffers are local, and no sample counters, touched sets, or active-set
-// distributions are updated.
-func (a *ALSHApprox) ApproxForward(x *tensor.Matrix, g *rng.RNG) []*tensor.Matrix {
-	layers := a.net.Layers
-	last := len(layers) - 1
-	out := make([]*tensor.Matrix, len(layers))
-	var buf []int
-	act := x
-	for i, l := range layers {
-		if i == last {
-			// Exact output layer, computed locally so the shared layer
-			// caches stay whatever the last training step left there.
-			z := tensor.MatMul(act, l.W)
-			z.AddRowVector(l.B)
-			act = l.Act.Forward(z)
-			out[i] = act
-			continue
-		}
-		idx := a.indexes[i]
-		if x.Rows == 1 {
-			buf = idx.Query(act.RowView(0), buf)
+// keep queries hidden layer i's index with every row of x, unions the
+// candidates in first-occurrence order (at batch size 1, the query's
+// own ascending order), pads the union with random nodes up to the
+// floor, and truncates it at the cap.
+func (a *ALSHApprox) keep(i int, x *tensor.Matrix, g *rng.RNG, ws *keepScratch) []int {
+	idx := a.indexes[i]
+	for r := 0; r < x.Rows; r++ {
+		if ws.lsh != nil {
+			ws.cands = idx.QueryWith(ws.lsh[i], x.RowView(r), ws.cands)
 		} else {
-			set := map[int]struct{}{}
-			for r := 0; r < act.Rows; r++ {
-				buf = idx.Query(act.RowView(r), buf)
-				for _, c := range buf {
-					set[c] = struct{}{}
-				}
-			}
-			buf = buf[:0]
-			for c := range set {
-				buf = append(buf, c)
-			}
-			// Sorted union: map iteration order is random, and summation
-			// order changes low-order bits, so sort to keep measurements
-			// reproducible for a fixed probe RNG.
-			sort.Ints(buf)
+			ws.cands = idx.Query(x.RowView(r), ws.cands)
 		}
-		st := &activeState{cols: padActive(buf, l.FanOut(), a.minAct[i], a.cfg.MaxActiveFrac, g)}
-		act = forwardActive(l, act, st, 1)
-		out[i] = act
+		ws.union.add(ws.cands)
 	}
-	return out
+	cols := padActive(ws.union.cols, idx.NumItems(), a.minAct[i], a.cfg.MaxActiveFrac, g)
+	ws.union.reset()
+	return cols
 }
 
-// Step performs one hash-sampled training pass.
-func (a *ALSHApprox) Step(x *tensor.Matrix, y []int) float64 {
-	tr := trace.Active()
-	layers := a.net.Layers
-	last := len(layers) - 1
+// scale is 1: ALSH-approx treats the skipped inner products as zero.
+func (a *ALSHApprox) scale() float64 { return 1 }
 
-	t0 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-	act := x
-	for i, l := range layers {
-		if i == last {
-			sp := tr.BeginLayer("forward", "layer", i)
-			act = l.Forward(act)
-			sp.End()
-			continue
+// afterStep records the step's active-set sizes, marks the updated
+// columns for re-hashing, and runs index maintenance.
+func (a *ALSHApprox) afterStep(rows int) {
+	for i, st := range a.states {
+		if st != nil {
+			a.actDists[i].Observe(int64(len(st.cols)))
+			a.touched[i].add(st.cols)
 		}
-		st := a.states[i]
-		st.cols = a.activeSet(i, act)
-		a.actDists[i].Observe(int64(len(st.cols)))
-		sp := tr.BeginLayer("forward", "sampled", i)
-		act = forwardActive(l, act, st, 1)
-		sp.End()
 	}
-	logits := act
-	loss := a.net.Head.Loss(logits, y)
-	t1 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-
-	delta := a.net.Head.Delta(logits, y)
-	spOut := tr.BeginLayer("backward", "layer", last)
-	gOut, dA := layers[last].Backward(delta)
-	a.optim.Step(last, layers[last].W, layers[last].B, gOut)
-	spOut.End()
-	for i := last - 1; i >= 0; i-- {
-		sp := tr.BeginLayer("backward", "sampled", i)
-		l := layers[i]
-		st := a.states[i]
-		gw, gb, dPrev := backwardActive(l, dA, st, 1)
-		a.grads[i] = scatterGrads(l, gw, gb, st.cols, a.grads[i])
-		a.optim.StepCols(i, l.W, l.B, a.grads[i], st.cols)
-		clearGradCols(a.grads[i], st.cols)
-		for _, c := range st.cols {
-			a.touched[i][c] = struct{}{}
-		}
-		dA = dPrev
-		sp.End()
-	}
-	t2 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-
-	a.samples += x.Rows
-	a.maintain()
-	t3 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-
-	a.timing.Forward += t1.Sub(t0)
-	a.timing.Backward += t2.Sub(t1)
-	a.timing.Maintain += t3.Sub(t2)
-	return loss
+	a.maintain(rows)
 }
 
-// maintain re-hashes updated columns on the paper's growing cadence:
-// every EarlyRebuildEvery samples for the first EarlyPhaseSamples, then
-// every LateRebuildEvery.
-func (a *ALSHApprox) maintain() {
+// maintain counts rows more training samples and re-hashes the updated
+// columns on the paper's growing cadence: every EarlyRebuildEvery
+// samples for the first EarlyPhaseSamples, then every LateRebuildEvery.
+func (a *ALSHApprox) maintain(rows int) {
+	a.samples += rows
 	every := a.cfg.EarlyRebuildEvery
 	if a.samples > a.cfg.EarlyPhaseSamples {
 		every = a.cfg.LateRebuildEvery
@@ -349,16 +226,9 @@ func (a *ALSHApprox) maintain() {
 	}
 	a.lastUpd = a.samples
 	for i, idx := range a.indexes {
-		if idx == nil || len(a.touched[i]) == 0 {
-			continue
-		}
-		cols := make([]int, 0, len(a.touched[i]))
-		for c := range a.touched[i] {
-			cols = append(cols, c)
-		}
-		idx.UpdateColumns(a.net.Layers[i].W, cols)
-		for c := range a.touched[i] {
-			delete(a.touched[i], c)
+		if t := &a.touched[i]; idx != nil && len(t.cols) > 0 {
+			idx.UpdateColumns(a.net.Layers[i].W, t.cols)
+			t.reset()
 		}
 	}
 }
@@ -366,11 +236,11 @@ func (a *ALSHApprox) maintain() {
 // RebuildAll refits every index's transform scaling and re-hashes all
 // columns — the full rebuild typically run between epochs.
 func (a *ALSHApprox) RebuildAll() {
-	t0 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
+	c := startClock()
 	for i, idx := range a.indexes {
 		if idx != nil {
 			idx.Rebuild(a.net.Layers[i].W)
 		}
 	}
-	a.timing.Maintain += time.Since(t0) //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
+	c.lap(&a.timing.Maintain)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"samplednn/internal/nn"
 	"samplednn/internal/obs/trace"
@@ -22,17 +21,9 @@ import (
 // ALSH-approx (§8.4), which is why DropoutS accuracy collapses on harder
 // datasets in Table 2 — at that rate the kept set is random and tiny.
 type Dropout struct {
-	net   *nn.Network
-	optim opt.Optimizer
+	colSampler
 	// P is the keep probability of each hidden node.
 	P float64
-	// MinKeep is the floor on the kept-set size per layer (at least 1).
-	MinKeep int
-
-	g      *rng.RNG
-	states []*activeState
-	grads  []nn.Grads
-	timing Timing
 }
 
 // NewDropout wraps net in uniform node dropout with keep probability p.
@@ -43,137 +34,26 @@ func NewDropout(net *nn.Network, optim opt.Optimizer, p float64, g *rng.RNG) *Dr
 	if p <= 0 || p > 1 {
 		panic(fmt.Sprintf("core: dropout keep probability %v must be in (0,1]", p))
 	}
-	return &Dropout{
-		net: net, optim: optim, P: p, MinKeep: 1, g: g,
-		states: make([]*activeState, len(net.Layers)),
-		grads:  make([]nn.Grads, len(net.Layers)),
-	}
+	d := &Dropout{P: p}
+	d.colSampler = newColSampler("dropout", net, optim, g, d)
+	return d
 }
 
-// Name returns "dropout".
-func (d *Dropout) Name() string { return "dropout" }
-
-// Axis returns AxisColumns: dropout samples nodes of the current layer.
-func (d *Dropout) Axis() Axis { return AxisColumns }
-
-// Net returns the wrapped network.
-func (d *Dropout) Net() *nn.Network { return d.net }
-
-// Timing returns the cumulative phase timings.
-func (d *Dropout) Timing() Timing { return d.timing }
-
-// ResetTiming zeroes the timings.
-func (d *Dropout) ResetTiming() { d.timing = Timing{} }
-
-// sampleCols draws the kept-node set for a layer of width n from the
-// method's own RNG stream.
-func (d *Dropout) sampleCols(n int) []int { return d.sampleColsWith(n, d.g) }
-
-// sampleColsWith is sampleCols over an explicit RNG, so diagnostic
-// passes (the error-compounding probe) can draw kept sets without
-// perturbing the training stream.
-func (d *Dropout) sampleColsWith(n int, g *rng.RNG) []int {
+// keep draws every node of hidden layer i independently with
+// probability P, padding an empty draw with one random node.
+func (d *Dropout) keep(i int, _ *tensor.Matrix, g *rng.RNG, _ *keepScratch) []int {
+	n := d.net.Layers[i].FanOut()
 	cols := make([]int, 0, int(float64(n)*d.P)+4)
 	for j := 0; j < n; j++ {
 		if g.Bernoulli(d.P) {
 			cols = append(cols, j)
 		}
 	}
-	min := d.MinKeep
-	if min < 1 {
-		min = 1
-	}
-	for len(cols) < min {
-		j := g.IntN(n)
-		dup := false
-		for _, c := range cols {
-			if c == j {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			cols = append(cols, j)
-		}
-	}
-	return cols
+	return padActive(cols, n, 1, 0, g)
 }
 
-// ApproxForward replays the dropout-sampled feedforward on x: fresh kept
-// sets are drawn from g (not the training stream) per hidden layer, with
-// the same 1/P inverted scaling a Step applies. Buffers are local, so
-// training state is untouched.
-func (d *Dropout) ApproxForward(x *tensor.Matrix, g *rng.RNG) []*tensor.Matrix {
-	layers := d.net.Layers
-	last := len(layers) - 1
-	out := make([]*tensor.Matrix, len(layers))
-	scale := 1 / d.P
-	act := x
-	for i, l := range layers {
-		if i == last {
-			z := tensor.MatMul(act, l.W)
-			z.AddRowVector(l.B)
-			act = l.Act.Forward(z)
-			out[i] = act
-			continue
-		}
-		st := &activeState{cols: d.sampleColsWith(l.FanOut(), g)}
-		act = forwardActive(l, act, st, scale)
-		out[i] = act
-	}
-	return out
-}
-
-// Step performs one dropout-sampled training pass.
-func (d *Dropout) Step(x *tensor.Matrix, y []int) float64 {
-	tr := trace.Active()
-	layers := d.net.Layers
-	last := len(layers) - 1
-	scale := 1 / d.P
-
-	t0 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-	a := x
-	for i, l := range layers {
-		if i == last {
-			sp := tr.BeginLayer("forward", "layer", i)
-			a = l.Forward(a) // output layer is always exact
-			sp.End()
-			continue
-		}
-		if d.states[i] == nil {
-			d.states[i] = &activeState{}
-		}
-		d.states[i].cols = d.sampleCols(l.FanOut())
-		sp := tr.BeginLayer("forward", "sampled", i)
-		a = forwardActive(l, a, d.states[i], scale)
-		sp.End()
-	}
-	logits := a
-	loss := d.net.Head.Loss(logits, y)
-	t1 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-
-	// Backward: output layer dense, hidden layers through active sets.
-	delta := d.net.Head.Delta(logits, y)
-	spOut := tr.BeginLayer("backward", "layer", last)
-	gOut, dA := layers[last].Backward(delta)
-	d.optim.Step(last, layers[last].W, layers[last].B, gOut)
-	spOut.End()
-	for i := last - 1; i >= 0; i-- {
-		sp := tr.BeginLayer("backward", "sampled", i)
-		l := layers[i]
-		st := d.states[i]
-		gw, gb, dPrev := backwardActive(l, dA, st, scale)
-		d.grads[i] = scatterGrads(l, gw, gb, st.cols, d.grads[i])
-		d.optim.StepCols(i, l.W, l.B, d.grads[i], st.cols)
-		clearGradCols(d.grads[i], st.cols)
-		dA = dPrev
-		sp.End()
-	}
-	t2 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-	d.timing.Forward += t1.Sub(t0)
-	d.timing.Backward += t2.Sub(t1)
-	return loss
-}
+// scale is the inverted-dropout factor 1/P.
+func (d *Dropout) scale() float64 { return 1 / d.P }
 
 // AdaptiveDropout implements the Ba-Frey "standout" sampler (§5.1): the
 // keep probability of node j is a sigmoid of its own pre-activation,
@@ -193,16 +73,13 @@ func (d *Dropout) Step(x *tensor.Matrix, y []int) float64 {
 // nodes — the computational overhead the paper measures in Table 4
 // (Adaptive-Dropout slower per epoch than Standard).
 type AdaptiveDropout struct {
-	net   *nn.Network
-	optim opt.Optimizer
+	rngBase
 	// Alpha scales and Beta shifts the standout sigmoid. Beta controls
 	// the base keep rate: σ(Beta) is the keep probability of a neutral
 	// node. The paper matches the 5% rate of ALSH-approx.
 	Alpha, Beta float64
 
-	g      *rng.RNG
-	masks  []*tensor.Matrix
-	timing Timing
+	masks []*tensor.Matrix
 }
 
 // NewAdaptiveDropout wraps net in standout sampling. baseKeep sets Beta =
@@ -216,27 +93,12 @@ func NewAdaptiveDropout(net *nn.Network, optim opt.Optimizer, alpha, baseKeep fl
 		panic(fmt.Sprintf("core: baseKeep %v must be in (0,1)", baseKeep))
 	}
 	return &AdaptiveDropout{
-		net: net, optim: optim,
-		Alpha: alpha, Beta: math.Log(baseKeep / (1 - baseKeep)),
-		g:     g,
-		masks: make([]*tensor.Matrix, len(net.Layers)),
+		rngBase: rngBase{base{name: "adaptive-dropout", axis: AxisColumns, net: net, optim: optim}, g},
+		Alpha:   alpha,
+		Beta:    math.Log(baseKeep / (1 - baseKeep)),
+		masks:   make([]*tensor.Matrix, len(net.Layers)),
 	}
 }
-
-// Name returns "adaptive-dropout".
-func (a *AdaptiveDropout) Name() string { return "adaptive-dropout" }
-
-// Axis returns AxisColumns.
-func (a *AdaptiveDropout) Axis() Axis { return AxisColumns }
-
-// Net returns the wrapped network.
-func (a *AdaptiveDropout) Net() *nn.Network { return a.net }
-
-// Timing returns the cumulative phase timings.
-func (a *AdaptiveDropout) Timing() Timing { return a.timing }
-
-// ResetTiming zeroes the timings.
-func (a *AdaptiveDropout) ResetTiming() { a.timing = Timing{} }
 
 // keepProb returns π = σ(Alpha·z + Beta).
 func (a *AdaptiveDropout) keepProb(z float64) float64 {
@@ -254,7 +116,7 @@ func (a *AdaptiveDropout) Step(x *tensor.Matrix, y []int) float64 {
 	layers := a.net.Layers
 	last := len(layers) - 1
 
-	t0 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
+	c := startClock()
 	act := x
 	for i, l := range layers {
 		sp := tr.BeginLayer("forward", "layer", i)
@@ -281,7 +143,7 @@ func (a *AdaptiveDropout) Step(x *tensor.Matrix, y []int) float64 {
 	}
 	logits := act
 	loss := a.net.Head.Loss(logits, y)
-	t1 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
+	c.lap(&a.timing.Forward)
 
 	delta := a.net.Head.Delta(logits, y)
 	for i := last; i >= 0; i-- {
@@ -299,9 +161,7 @@ func (a *AdaptiveDropout) Step(x *tensor.Matrix, y []int) float64 {
 		}
 		sp.End()
 	}
-	t2 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-	a.timing.Forward += t1.Sub(t0)
-	a.timing.Backward += t2.Sub(t1)
+	c.lap(&a.timing.Backward)
 	return loss
 }
 

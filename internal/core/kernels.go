@@ -69,7 +69,7 @@ func scatterCols(full, compact *tensor.Matrix, cols []int) {
 // activeState carries the per-layer forward caches of a column-sampled
 // step, reused across steps to bound allocations.
 type activeState struct {
-	cols    []int          // active node set, ascending
+	cols    []int          // active node set, in the selector's order (not sorted)
 	wsub    *tensor.Matrix // |S| x fanIn: gathered Wᵀ rows
 	bsub    []float64      // |S| biases
 	zsub    *tensor.Matrix // batch x |S| pre-activations
@@ -180,7 +180,8 @@ func clearGradCols(g nn.Grads, cols []int) {
 	}
 }
 
-// derivInto applies dL/dA ⊙ f'(z) for a dense (unsampled) layer.
+// applyDerivative multiplies dA in place by f'(z) of a dense
+// (unsampled) layer's cached pre-activations and returns it.
 func applyDerivative(l *nn.Layer, dA *tensor.Matrix) *tensor.Matrix {
 	deriv := l.Act.Derivative(l.Z, l.A)
 	tensor.HadamardInPlace(dA, deriv)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"samplednn/internal/approxmm"
 	"samplednn/internal/nn"
@@ -100,11 +99,8 @@ type MCConfig struct {
 // while the probability computation still pays a full pass over W — the
 // §9.3 finding that MC-approxS is slower than StandardS.
 type MCApprox struct {
-	net    *nn.Network
-	optim  opt.Optimizer
-	cfg    MCConfig
-	g      *rng.RNG
-	timing Timing
+	rngBase
+	cfg MCConfig
 }
 
 // NewMCApprox wraps net in Monte-Carlo approximate training.
@@ -115,27 +111,12 @@ func NewMCApprox(net *nn.Network, optim opt.Optimizer, cfg MCConfig, g *rng.RNG)
 	if cfg.K <= 0 {
 		cfg.K = 10
 	}
-	return &MCApprox{net: net, optim: optim, cfg: cfg, g: g}
+	return &MCApprox{rngBase{base{name: "mc", axis: AxisRows, net: net, optim: optim}, g}, cfg}
 }
-
-// Name returns "mc".
-func (m *MCApprox) Name() string { return "mc" }
-
-// Axis returns AxisRows: MC-approx samples nodes of the previous layer.
-func (m *MCApprox) Axis() Axis { return AxisRows }
-
-// Net returns the wrapped network.
-func (m *MCApprox) Net() *nn.Network { return m.net }
-
-// Timing returns the cumulative phase timings.
-func (m *MCApprox) Timing() Timing { return m.timing }
-
-// ResetTiming zeroes the timings.
-func (m *MCApprox) ResetTiming() { m.timing = Timing{} }
 
 // Step performs one MC-approximated training pass.
 func (m *MCApprox) Step(x *tensor.Matrix, y []int) float64 {
-	t0 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
+	c := startClock()
 	var logits *tensor.Matrix
 	if m.cfg.Where == MCForward || m.cfg.Where == MCBoth {
 		logits = m.forwardApprox(x)
@@ -143,7 +124,7 @@ func (m *MCApprox) Step(x *tensor.Matrix, y []int) float64 {
 		logits = m.net.Forward(x)
 	}
 	loss := m.net.Head.Loss(logits, y)
-	t1 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
+	c.lap(&m.timing.Forward)
 
 	if m.cfg.Where == MCForward {
 		// Exact backpropagation through the approximate forward caches.
@@ -154,9 +135,7 @@ func (m *MCApprox) Step(x *tensor.Matrix, y []int) float64 {
 	} else {
 		m.backwardApprox(logits, y)
 	}
-	t2 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-	m.timing.Forward += t1.Sub(t0)
-	m.timing.Backward += t2.Sub(t1)
+	c.lap(&m.timing.Backward)
 	return loss
 }
 
@@ -195,8 +174,9 @@ func (m *MCApprox) ApproxForward(x *tensor.Matrix, g *rng.RNG) []*tensor.Matrix 
 }
 
 // samplePairs draws shared-dimension indices and their rescaling factors
-// according to the configured estimator, using g for randomness. Indices
-// may repeat only in the scales (duplicate CR draws are merged). The RNG
+// according to the configured estimator, using g for randomness.
+// Duplicate CR draws are merged into one index, listed in first-draw
+// order so the caller's summation order is reproducible. The RNG
 // is an explicit parameter so diagnostic passes (the error-compounding
 // probe) can sample without perturbing the training stream.
 func (m *MCApprox) samplePairs(w []float64, k int, g *rng.RNG) (idx []int, scales []float64) {
@@ -206,15 +186,18 @@ func (m *MCApprox) samplePairs(w []float64, k int, g *rng.RNG) (idx []int, scale
 		if err != nil {
 			return nil, nil // all-zero signal: the product is zero
 		}
-		agg := make(map[int]float64, k)
+		pos := make(map[int]int, k)
 		inv := 1 / float64(k)
 		for t := 0; t < k; t++ {
 			i := table.Draw(g)
-			agg[i] += inv / table.Prob(i)
-		}
-		for i, s := range agg {
-			idx = append(idx, i)
-			scales = append(scales, s)
+			p, ok := pos[i]
+			if !ok {
+				p = len(idx)
+				pos[i] = p
+				idx = append(idx, i)
+				scales = append(scales, 0)
+			}
+			scales[p] += inv / table.Prob(i)
 		}
 		return idx, scales
 	case MCTopK:

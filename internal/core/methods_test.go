@@ -115,20 +115,19 @@ func TestDropoutOnlyUpdatesActiveColumns(t *testing.T) {
 	}
 }
 
+// Dropout at a vanishing keep rate still keeps one distinct node per
+// hidden layer on every draw.
 func TestDropoutMinKeepFloor(t *testing.T) {
 	net := mlp(t, 9, 4, 10, 2)
 	m := NewDropout(net, opt.NewSGD(0.1), 0.0001, rng.New(10))
-	m.MinKeep = 3
-	cols := m.sampleCols(10)
-	if len(cols) < 3 {
-		t.Fatalf("MinKeep violated: %v", cols)
-	}
-	seen := map[int]bool{}
-	for _, c := range cols {
-		if seen[c] {
-			t.Fatal("duplicate node in active set")
+	for draw := 0; draw < 20; draw++ {
+		cols := m.keep(0, nil, m.g, nil)
+		if len(cols) != 1 {
+			t.Fatalf("draw %d: one-node floor violated: %v", draw, cols)
 		}
-		seen[c] = true
+		if cols[0] < 0 || cols[0] >= net.Layers[0].FanOut() {
+			t.Fatalf("draw %d: node %d out of range", draw, cols[0])
+		}
 	}
 }
 
@@ -203,9 +202,7 @@ func TestALSHMaintainsIndexes(t *testing.T) {
 	// Touched sets should be flushed after maintenance cadence.
 	total := 0
 	for _, tm := range m.touched {
-		if tm != nil {
-			total += len(tm)
-		}
+		total += len(tm.cols)
 	}
 	if total > 3*32 {
 		t.Fatalf("touched sets look unbounded: %d", total)
@@ -228,7 +225,7 @@ func TestALSHActiveSetRespectsFloorAndCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randInput(24, 1, 6)
-	cols := m.activeSet(0, x)
+	cols := m.keep(0, x, m.g, &m.ws)
 	if len(cols) < 5 {
 		t.Fatalf("floor violated: %d", len(cols))
 	}
@@ -251,7 +248,7 @@ func TestALSHBatchUnion(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randInput(27, 5, 6)
-	cols := m.activeSet(0, x)
+	cols := m.keep(0, x, m.g, &m.ws)
 	if len(cols) == 0 {
 		t.Fatal("batch union empty")
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"samplednn/internal/lsh"
 	"samplednn/internal/nn"
@@ -33,14 +32,14 @@ type ParallelALSH struct {
 	// near-linear speedup because per-sample work is independent.
 	Workers int
 
-	workers  []*alshWorker
-	results  []workerResult
-	unionBuf map[int][]int
+	workers []*alshWorker
+	results []workerResult
 
 	// Merge-phase scratch, reused across Steps so the per-batch merge
-	// performs no allocations: seenBuf flags union membership per hidden
-	// layer, outW/outB accumulate the dense output-layer gradient.
-	seenBuf [][]bool
+	// performs no allocations: merged is one hidden layer's union of the
+	// per-sample active sets, outW/outB accumulate the dense output-layer
+	// gradient.
+	merged  colSet
 	outWBuf *tensor.Matrix
 	outBBuf []float64
 
@@ -57,10 +56,9 @@ type ParallelALSH struct {
 
 // alshWorker holds one goroutine's private buffers.
 type alshWorker struct {
-	states    []*activeState
-	scratches []*lsh.QueryScratch // one per hidden layer
-	g         *rng.RNG
-	buf       []int
+	states []*activeState
+	ws     keepScratch // with LSH query scratch per hidden layer
+	g      *rng.RNG
 }
 
 // workerResult carries one sample's sparse gradients.
@@ -79,37 +77,31 @@ func NewParallelALSH(net *nn.Network, optim opt.Optimizer, cfg ALSHConfig, worke
 	if workers <= 0 {
 		return nil, fmt.Errorf("core: worker count %d must be positive", workers)
 	}
-	base, err := NewALSHApprox(net, optim, cfg, g)
+	seq, err := NewALSHApprox(net, optim, cfg, g)
 	if err != nil {
 		return nil, err
 	}
-	p := &ParallelALSH{ALSHApprox: base, Workers: workers, unionBuf: map[int][]int{}}
+	seq.name = "alsh-parallel"
+	p := &ParallelALSH{ALSHApprox: seq, Workers: workers}
 	last := len(net.Layers) - 1
-	p.seenBuf = make([][]bool, last)
-	for i := 0; i < last; i++ {
-		p.seenBuf[i] = make([]bool, net.Layers[i].FanOut())
-	}
 	p.outWBuf = tensor.New(net.Layers[last].FanIn(), net.Layers[last].FanOut())
 	p.outBBuf = make([]float64, net.Layers[last].FanOut())
 	for w := 0; w < workers; w++ {
 		aw := &alshWorker{
-			states:    make([]*activeState, len(net.Layers)),
-			scratches: make([]*lsh.QueryScratch, len(net.Layers)),
-			g:         g.Split(),
+			states: make([]*activeState, len(net.Layers)),
+			ws:     keepScratch{lsh: make([]*lsh.QueryScratch, len(net.Layers))},
+			g:      g.Split(),
 		}
-		for i := range net.Layers {
-			if base.indexes[i] != nil {
+		for i, idx := range seq.indexes {
+			if idx != nil {
 				aw.states[i] = &activeState{}
-				aw.scratches[i] = base.indexes[i].NewQueryScratch()
+				aw.ws.lsh[i] = idx.NewQueryScratch()
 			}
 		}
 		p.workers = append(p.workers, aw)
 	}
 	return p, nil
 }
-
-// Name returns "alsh-parallel".
-func (p *ParallelALSH) Name() string { return "alsh-parallel" }
 
 // Step processes every row of the batch in parallel, each with its own
 // per-sample active sets, then merges and applies the sparse gradients.
@@ -168,7 +160,7 @@ func (p *ParallelALSH) TryStep(x *tensor.Matrix, y []int) (float64, error) {
 	layers := p.net.Layers
 	last := len(layers) - 1
 
-	t0 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
+	c := startClock()
 	if cap(p.results) < x.Rows {
 		p.results = make([]workerResult, x.Rows)
 	}
@@ -213,7 +205,7 @@ func (p *ParallelALSH) TryStep(x *tensor.Matrix, y []int) (float64, error) {
 	if err := p.LastErr(); err != nil {
 		return 0, err
 	}
-	t1 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
+	c.lap(&p.timing.Forward) // parallel compute phase
 
 	// Merge: output layer densely, hidden layers by column union. All
 	// merge scratch is owned by p and reused across batches.
@@ -238,43 +230,31 @@ func (p *ParallelALSH) TryStep(x *tensor.Matrix, y []int) (float64, error) {
 		if p.grads[li].W == nil {
 			p.grads[li] = l.ZeroGrads()
 		}
-		union := p.unionBuf[li][:0]
-		seen := p.seenBuf[li]
+		union := &p.merged
 		for ri := range results {
 			r := &results[ri]
 			// Record per-sample active-set sizes here in the merge phase:
 			// it is single-threaded, so the observation order is stable.
 			p.actDists[li].Observe(int64(len(r.cols[li])))
+			union.add(r.cols[li])
+			// Accumulate the compact gradient columns into the full-width
+			// scratch.
 			for ci, col := range r.cols[li] {
-				if !seen[col] {
-					seen[col] = true
-					union = append(union, col)
-				}
-				// Accumulate the compact gradient column into the
-				// full-width scratch.
 				for row := 0; row < l.FanIn(); row++ {
 					p.grads[li].W.Data[row*l.FanOut()+col] += inv * r.gradW[li].Data[row*r.gradW[li].Cols+ci]
 				}
 				p.grads[li].B[col] += inv * r.gradB[li][ci]
 			}
 		}
-		p.unionBuf[li] = union
-		p.optim.StepCols(li, l.W, l.B, p.grads[li], union)
-		clearGradCols(p.grads[li], union)
-		for _, c := range union {
-			p.touched[li][c] = struct{}{}
-			seen[c] = false
-		}
+		p.optim.StepCols(li, l.W, l.B, p.grads[li], union.cols)
+		clearGradCols(p.grads[li], union.cols)
+		p.touched[li].add(union.cols)
+		union.reset()
 	}
-	t2 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
+	c.lap(&p.timing.Backward)
 
-	p.samples += x.Rows
-	p.maintain()
-	t3 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-
-	p.timing.Forward += t1.Sub(t0) // parallel compute phase
-	p.timing.Backward += t2.Sub(t1)
-	p.timing.Maintain += t3.Sub(t2)
+	p.maintain(x.Rows)
+	c.lap(&p.timing.Maintain)
 	return loss * inv, nil
 }
 
@@ -291,27 +271,24 @@ func (p *ParallelALSH) processSample(aw *alshWorker, row []float64, label int) w
 		gradB: make([][]float64, last),
 	}
 
-	// Forward through per-sample active sets.
-	act := x
+	// Forward through per-sample active sets; the exact output layer
+	// must not touch the shared layer caches, which sampledForward
+	// guarantees.
+	acts := sampledForward(layers, x, aw.states, p, aw.g, &aw.ws)
 	for i := 0; i < last; i++ {
-		st := aw.states[i]
-		aw.buf = p.indexes[i].QueryWith(aw.scratches[i], act.RowView(0), aw.buf)
-		st.cols = padActive(aw.buf, layers[i].FanOut(), p.minAct[i], p.cfg.MaxActiveFrac, aw.g)
-		act = forwardActive(layers[i], act, st, 1)
-		res.cols[i] = append([]int(nil), st.cols...)
+		res.cols[i] = aw.states[i].cols
 	}
-	// Output layer forward must not touch the shared layer caches, so
-	// compute it locally.
-	out := layers[last]
-	logits := tensor.MatMul(act, out.W)
-	logits.AddRowVector(out.B)
+	logits, act := acts[last], x
+	if last > 0 {
+		act = acts[last-1]
+	}
 	res.loss = p.net.Head.Loss(logits, []int{label})
 
 	// Backward.
 	delta := p.net.Head.Delta(logits, []int{label})
 	res.outW = tensor.MatMulTransA(act, delta)
 	res.outB = append([]float64(nil), delta.RowView(0)...)
-	dA := tensor.MatMulTransB(delta, out.W)
+	dA := tensor.MatMulTransB(delta, layers[last].W)
 	for i := last - 1; i >= 0; i-- {
 		st := aw.states[i]
 		gw, gb, dPrev := backwardActive(layers[i], dA, st, 1)
@@ -324,7 +301,7 @@ func (p *ParallelALSH) processSample(aw *alshWorker, row []float64, label int) w
 
 // padActive copies cols, pads it with distinct random nodes up to the
 // floor, and truncates at the cap — the shared active-set policy of the
-// sequential and parallel ALSH trainers.
+// column samplers (Dropout pads to a floor of one node, no cap).
 func padActive(cols []int, n, minActive int, maxFrac float64, g *rng.RNG) []int {
 	out := append([]int(nil), cols...)
 	if maxFrac > 0 {

@@ -122,6 +122,10 @@ func TestPadActive(t *testing.T) {
 	if many[0] != 0 || many[9] != 9 {
 		t.Fatal("padActive must not mutate its input")
 	}
+	// An empty draw pads to a larger floor with distinct nodes.
+	if out = padActive(nil, 10, 3, 0, g); len(out) != 3 || out[0] == out[1] || out[0] == out[2] || out[1] == out[2] {
+		t.Fatalf("floor of 3 from an empty draw: %v", out)
+	}
 }
 
 func TestParallelALSHWorkerPanicSurfacesAsError(t *testing.T) {
@@ -244,12 +248,13 @@ func TestParallelALSHMergeScratchIsReset(t *testing.T) {
 			t.Fatalf("layer %d weights diverged", i)
 		}
 	}
-	// Seen flags were all cleared back to false.
-	for li, seen := range m1.seenBuf {
-		for c, v := range seen {
-			if v {
-				t.Fatalf("layer %d column %d left marked in seen scratch", li, c)
-			}
+	// The union scratch was emptied and every flag cleared back to false.
+	if len(m1.merged.cols) != 0 {
+		t.Fatalf("merge union left %d members", len(m1.merged.cols))
+	}
+	for c, v := range m1.merged.in {
+		if v {
+			t.Fatalf("column %d left marked in the merge union", c)
 		}
 	}
 }

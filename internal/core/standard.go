@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"samplednn/internal/nn"
 	"samplednn/internal/opt"
 	"samplednn/internal/tensor"
@@ -12,9 +10,7 @@ import (
 // paper's STANDARD baseline ("training the neural network without
 // sampling").
 type Standard struct {
-	net    *nn.Network
-	optim  opt.Optimizer
-	timing Timing
+	base
 }
 
 // NewStandard wraps a network and optimizer in the exact training method.
@@ -22,23 +18,8 @@ func NewStandard(net *nn.Network, optim opt.Optimizer) *Standard {
 	if net == nil || optim == nil {
 		panic("core: Standard needs a network and an optimizer")
 	}
-	return &Standard{net: net, optim: optim}
+	return &Standard{base{name: "standard", axis: AxisNone, net: net, optim: optim}}
 }
-
-// Name returns "standard".
-func (s *Standard) Name() string { return "standard" }
-
-// Axis returns AxisNone.
-func (s *Standard) Axis() Axis { return AxisNone }
-
-// Net returns the wrapped network.
-func (s *Standard) Net() *nn.Network { return s.net }
-
-// Timing returns the cumulative phase timings.
-func (s *Standard) Timing() Timing { return s.timing }
-
-// ResetTiming zeroes the timings.
-func (s *Standard) ResetTiming() { s.timing = Timing{} }
 
 // Step performs one exact forward/backward/update pass.
 func (s *Standard) Step(x *tensor.Matrix, y []int) float64 {
@@ -52,23 +33,21 @@ func (s *Standard) Step(x *tensor.Matrix, y []int) float64 {
 // the export half of the core.GradComputer seam distributed training
 // uses.
 func (s *Standard) ComputeGrads(x *tensor.Matrix, y []int) (float64, []nn.Grads) {
-	t0 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
+	c := startClock()
 	logits := s.net.Forward(x)
 	loss := s.net.Head.Loss(logits, y)
-	t1 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
+	c.lap(&s.timing.Forward)
 	grads := s.net.Backward(logits, y)
-	t2 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-	s.timing.Forward += t1.Sub(t0)
-	s.timing.Backward += t2.Sub(t1)
+	c.lap(&s.timing.Backward)
 	return loss, grads
 }
 
 // ApplyGrads feeds one gradient per layer through the optimizer,
 // updating the weights in place — the import half of core.GradComputer.
 func (s *Standard) ApplyGrads(grads []nn.Grads) {
-	t0 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
+	c := startClock()
 	for i, l := range s.net.Layers {
 		s.optim.Step(i, l.W, l.B, grads[i])
 	}
-	s.timing.Backward += time.Since(t0) //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
+	c.lap(&s.timing.Backward)
 }

@@ -5,111 +5,52 @@ import (
 	"io"
 
 	"samplednn/internal/binio"
-	"samplednn/internal/opt"
+	"samplednn/internal/rng"
 )
 
-// This file implements the checkpoint hooks of every method: the
-// OptimizerHolder accessor and, for methods with run-time state beyond
-// the weights, the Resumable interface. Each state blob starts with a
+// This file implements the Resumable interface of every method with
+// run-time state beyond the weights. Each state blob starts with a
 // one-byte version so formats can evolve independently.
 
 const methodStateV1 = 1
 
-// Optimizer returns the wrapped optimizer.
-func (s *Standard) Optimizer() opt.Optimizer { return s.optim }
+// rngBase is base plus the method's private RNG stream. For Dropout,
+// Adaptive-Dropout and MC-approx that stream is the whole run-time state
+// beyond the weights, so rngBase is their Resumable implementation; it
+// is not on base because Standard has no state to resume.
+type rngBase struct {
+	base
+	g *rng.RNG
+}
 
-// Optimizer returns the wrapped optimizer.
-func (d *Dropout) Optimizer() opt.Optimizer { return d.optim }
+// SaveState serializes the RNG stream position.
+func (b *rngBase) SaveState(w io.Writer) error {
+	if err := binio.WriteU8(w, methodStateV1); err != nil {
+		return err
+	}
+	return binio.WriteBytes(w, b.g.Save())
+}
 
-// Optimizer returns the wrapped optimizer.
-func (a *AdaptiveDropout) Optimizer() opt.Optimizer { return a.optim }
-
-// Optimizer returns the wrapped optimizer.
-func (a *ALSHApprox) Optimizer() opt.Optimizer { return a.optim }
-
-// Optimizer returns the wrapped optimizer.
-func (m *MCApprox) Optimizer() opt.Optimizer { return m.optim }
-
-func writeVersion(w io.Writer) error { return binio.WriteU8(w, methodStateV1) }
-
-func readVersion(r io.Reader, method string) error {
+// LoadState restores the RNG stream position.
+func (b *rngBase) LoadState(r io.Reader) error {
 	v, err := binio.ReadU8(r)
 	if err != nil {
-		return fmt.Errorf("core: %s state header: %w", method, err)
+		return fmt.Errorf("core: %s state header: %w", b.name, err)
 	}
 	if v != methodStateV1 {
-		return fmt.Errorf("core: %s state version %d, this build reads %d", method, v, methodStateV1)
-	}
-	return nil
-}
-
-// SaveState serializes the dropout mask RNG position.
-func (d *Dropout) SaveState(w io.Writer) error {
-	if err := writeVersion(w); err != nil {
-		return err
-	}
-	return binio.WriteBytes(w, d.g.Save())
-}
-
-// LoadState restores the dropout mask RNG position.
-func (d *Dropout) LoadState(r io.Reader) error {
-	if err := readVersion(r, "dropout"); err != nil {
-		return err
+		return fmt.Errorf("core: %s state version %d, this build reads %d", b.name, v, methodStateV1)
 	}
 	blob, err := binio.ReadBytes(r)
 	if err != nil {
 		return err
 	}
-	return d.g.Restore(blob)
-}
-
-// SaveState serializes the standout mask RNG position.
-func (a *AdaptiveDropout) SaveState(w io.Writer) error {
-	if err := writeVersion(w); err != nil {
-		return err
-	}
-	return binio.WriteBytes(w, a.g.Save())
-}
-
-// LoadState restores the standout mask RNG position.
-func (a *AdaptiveDropout) LoadState(r io.Reader) error {
-	if err := readVersion(r, "adaptive-dropout"); err != nil {
-		return err
-	}
-	blob, err := binio.ReadBytes(r)
-	if err != nil {
-		return err
-	}
-	return a.g.Restore(blob)
-}
-
-// SaveState serializes the MC sampling RNG position.
-func (m *MCApprox) SaveState(w io.Writer) error {
-	if err := writeVersion(w); err != nil {
-		return err
-	}
-	return binio.WriteBytes(w, m.g.Save())
-}
-
-// LoadState restores the MC sampling RNG position.
-func (m *MCApprox) LoadState(r io.Reader) error {
-	if err := readVersion(r, "mc"); err != nil {
-		return err
-	}
-	blob, err := binio.ReadBytes(r)
-	if err != nil {
-		return err
-	}
-	return m.g.Restore(blob)
+	return b.g.Restore(blob)
 }
 
 // SaveState serializes the active-set RNG position and the
 // hash-maintenance counters.
 func (a *ALSHApprox) SaveState(w io.Writer) error {
-	if err := writeVersion(w); err != nil {
-		return err
-	}
-	if err := binio.WriteBytes(w, a.g.Save()); err != nil {
+	if err := a.rngBase.SaveState(w); err != nil {
 		return err
 	}
 	if err := binio.WriteI64(w, int64(a.samples)); err != nil {
@@ -125,14 +66,7 @@ func (a *ALSHApprox) SaveState(w io.Writer) error {
 // fixed at construction and are reproduced by constructing the method
 // with the same seed.
 func (a *ALSHApprox) LoadState(r io.Reader) error {
-	if err := readVersion(r, "alsh"); err != nil {
-		return err
-	}
-	blob, err := binio.ReadBytes(r)
-	if err != nil {
-		return err
-	}
-	if err := a.g.Restore(blob); err != nil {
+	if err := a.rngBase.LoadState(r); err != nil {
 		return err
 	}
 	samples, err := binio.ReadI64(r)
