@@ -8,7 +8,7 @@ GO ?= go
 # math.FMA computes the same correctly-rounded value on every path.
 export GOAMD64 ?= v3
 
-.PHONY: build test tier1 lint bench bench-gemm bench-trace bench-obs bench-dist bench-serve bench-lint vet fmt journal-demo trace-demo
+.PHONY: build test tier1 lint bench perfbench bench-gemm bench-trace bench-obs bench-dist bench-serve bench-lint vet fmt journal-demo trace-demo
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,16 @@ tier1: lint
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 10x .
+
+# One run of the repository benchmark (BENCHMARK.json) on this
+# checkout: `make perfbench W=train-minibatch TRACE=1`. W is one of
+# train-minibatch, train-stochastic, serve-predict, dist-step; TRACE=1
+# adds the traced per-layer pass. Run it on two checkouts, interleaved,
+# for before/after numbers.
+W ?= train-minibatch
+TRACE ?= 0
+perfbench:
+	bash perfbench/run.sh --workload $(W) --seed 1 --seconds 20 --trace $(TRACE)
 
 # Serial-vs-parallel GEMM kernel sweep; every parallel point is checked
 # bit-for-bit against the serial kernel before its timing is recorded.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"samplednn/internal/core"
@@ -316,16 +317,23 @@ func runFig11(s Scale) (*Result, error) {
 		Columns:  []string{"batch", "MC epoch", "Standard epoch", "MC/Standard"},
 	}
 	for _, b := range batchesFor(s) {
-		mcOut, err := run(runSpec{dataset: "mnist", method: "mc", depth: 3, batch: b, seed: uint64(7200 + b)}, s)
-		if err != nil {
-			return nil, err
+		// The ratio is a wall-clock shape, so each epoch time is the
+		// minimum over three identical seeded runs, the two methods
+		// interleaved: min-of-N strips scheduler and co-tenant noise that
+		// a single run would fold into one side of the ratio.
+		mcT, stdT := math.Inf(1), math.Inf(1)
+		for rep := 0; rep < 3; rep++ {
+			mcOut, err := run(runSpec{dataset: "mnist", method: "mc", depth: 3, batch: b, seed: uint64(7200 + b)}, s)
+			if err != nil {
+				return nil, err
+			}
+			stdOut, err := run(runSpec{dataset: "mnist", method: "standard", depth: 3, batch: b, seed: uint64(7300 + b)}, s)
+			if err != nil {
+				return nil, err
+			}
+			mcT = min(mcT, epochTime(mcOut.hist))
+			stdT = min(stdT, epochTime(stdOut.hist))
 		}
-		stdOut, err := run(runSpec{dataset: "mnist", method: "standard", depth: 3, batch: b, seed: uint64(7300 + b)}, s)
-		if err != nil {
-			return nil, err
-		}
-		mcT := float64(mcOut.hist.TotalTiming().Total()) / float64(len(mcOut.hist.Epochs))
-		stdT := float64(stdOut.hist.TotalTiming().Total()) / float64(len(stdOut.hist.Epochs))
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprint(b),
 			fmtDur(time.Duration(mcT)),
@@ -334,6 +342,11 @@ func runFig11(s Scale) (*Result, error) {
 		})
 	}
 	return res, nil
+}
+
+// epochTime is a run's mean per-epoch time in nanoseconds.
+func epochTime(h *train.History) float64 {
+	return float64(h.TotalTiming().Total()) / float64(len(h.Epochs))
 }
 
 func runFig12(s Scale) (*Result, error) {

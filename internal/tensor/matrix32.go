@@ -120,21 +120,17 @@ func MatMul32Into(out, a, b *Matrix32) {
 	if usePacked(a.Rows, k, n) {
 		av := gview[float32]{data: a.Data, rs: a.Cols, cs: 1}
 		bv := gview[float32]{data: b.Data, rs: b.Cols, cs: 1}
-		ParallelRowsCost(a.Rows, cost, func(lo, hi int) {
-			packedGEMM(out.Data, out.Cols, av, bv, k, n, lo, hi, nil)
-		})
+		packedParallel(out.Data, out.Cols, av, bv, a.Rows, k, n, nil, cost)
 		return
 	}
 	cost.MinRows = 0
-	ParallelRowsCost(a.Rows, cost, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	parallelGEMM(a.Rows, n, cost, axpyColBlock, func(ilo, ihi, jlo, jhi int) {
+		for i := ilo; i < ihi; i++ {
 			arow := a.RowView(i)
-			orow := out.RowView(i)
-			for j := range orow {
-				orow[j] = 0
-			}
+			orow := out.RowView(i)[jlo:jhi]
+			clear(orow)
 			for k, av := range arow {
-				brow := b.RowView(k)
+				brow := b.RowView(k)[jlo:jhi]
 				for j, bv := range brow {
 					orow[j] += av * bv
 				}

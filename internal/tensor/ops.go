@@ -19,10 +19,11 @@ func MatMul(a, b *Matrix) *Matrix {
 // Large products run the packed register-blocked core (see packed.go);
 // below the packing threshold the kernel uses the cache-friendly i-k-j
 // loop order, streaming a row of b and a row of out sequentially. The
-// dispatch depends only on the operand shape. Output rows are sharded
-// over the worker pool; each element's k-ascending reduction order is
-// independent of the chunking, so results are bit-identical at any
-// worker count.
+// dispatch depends only on the operand shape. Output rows — or, for
+// products too short for two row chunks, output column blocks — are
+// sharded over the worker pool (parallelGEMM); each element's
+// k-ascending reduction order is independent of the chunking, so
+// results are bit-identical at any worker count.
 //
 // Zero entries of a are NOT skipped: 0·NaN and 0·Inf must yield NaN so
 // a diverging operand propagates into the output, which the trainer's
@@ -35,26 +36,33 @@ func MatMulInto(out, a, b *Matrix) {
 	if out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul out is %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Cols))
 	}
-	k, n := a.Cols, b.Cols
-	if usePacked(a.Rows, k, n) {
+	m, k, n := a.Rows, a.Cols, b.Cols
+	if usePacked(m, k, n) {
 		av := gview[float64]{data: a.Data, rs: a.Cols, cs: 1}
 		bv := gview[float64]{data: b.Data, rs: b.Cols, cs: 1}
-		ParallelRowsCost(a.Rows, gemmRowCost(k, n), func(lo, hi int) {
-			packedGEMM(out.Data, out.Cols, av, bv, k, n, lo, hi, nil)
-		})
+		packedParallel(out.Data, out.Cols, av, bv, m, k, n, nil, gemmRowCost(k, n))
 		return
 	}
-	ParallelRows(a.Rows, k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	parallelGEMM(m, n, Cost{Flops: k * n}, axpyColBlock, func(ilo, ihi, jlo, jhi int) {
+		for i := ilo; i < ihi; i++ {
 			arow := a.RowView(i)
-			orow := out.RowView(i)
-			for j := range orow {
-				orow[j] = 0
-			}
+			orow := out.RowView(i)[jlo:jhi]
+			clear(orow)
 			for k, av := range arow {
-				axpy(av, b.RowView(k), orow)
+				axpy(av, b.RowView(k)[jlo:jhi], orow)
 			}
 		}
+	})
+}
+
+// packedParallel runs the packed core over an m×n output (logical
+// columns mapped through cols when non-nil), sharded by parallelGEMM
+// with c as the per-row cost. Column chunks are a quarter NC block
+// wide: each packs its own slice of the B panel, and a batch-sized A
+// block is cheap to repack per chunk.
+func packedParallel[T Float](out []T, ldOut int, a, b gview[T], m, k, n int, cols []int, c Cost) {
+	parallelGEMM(m, n, c, GEMMBlockConfig().NC/4, func(ilo, ihi, jlo, jhi int) {
+		packedGEMM(out, ldOut, a, b, k, ilo, ihi, jlo, jhi, cols)
 	})
 }
 
@@ -112,16 +120,14 @@ func MatMulTransBInto(out, a, b *Matrix) {
 		av := gview[float64]{data: a.Data, rs: a.Cols, cs: 1}
 		// bᵀ element (k, j) is b[j][k].
 		bv := gview[float64]{data: b.Data, rs: 1, cs: b.Cols}
-		ParallelRowsCost(a.Rows, gemmRowCost(k, n), func(lo, hi int) {
-			packedGEMM(out.Data, out.Cols, av, bv, k, n, lo, hi, nil)
-		})
+		packedParallel(out.Data, out.Cols, av, bv, a.Rows, k, n, nil, gemmRowCost(k, n))
 		return
 	}
-	ParallelRows(a.Rows, a.Cols*b.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	parallelGEMM(a.Rows, b.Rows, Cost{Flops: a.Cols * b.Rows}, dotColBlock, func(ilo, ihi, jlo, jhi int) {
+		for i := ilo; i < ihi; i++ {
 			arow := a.RowView(i)
 			orow := out.RowView(i)
-			for j := 0; j < b.Rows; j++ {
+			for j := jlo; j < jhi; j++ {
 				orow[j] = dot(arow, b.RowView(j))
 			}
 		}
@@ -143,14 +149,14 @@ func MatMulTransA(a, b *Matrix) *Matrix {
 // Large products run the packed core: packing aᵀ's rows (columns of a)
 // into contiguous micro-strips converts the strided column reads into
 // one sequential pass per block — the transpose is paid once per panel
-// instead of once per inner product. Below the threshold,
-// parallelization is by blocks of *output* rows (columns of a): every
-// chunk owns out rows [lo, hi) and accumulates all k contributions into
-// them itself, so no two goroutines ever write the same row (the serial
-// loop instead iterated k outermost, which would make chunks over k race
-// on the whole output). In both paths the contributions to one output
-// element arrive in k-ascending order regardless of chunking, so
-// results are bit-identical at any worker count.
+// instead of once per inner product. Either path shards *output* blocks
+// (rows, or column blocks when out is too short for two row chunks):
+// every chunk owns its block and accumulates all k contributions into
+// it itself, so no two goroutines ever write the same element (the
+// serial loop instead iterated k outermost, which would make chunks
+// over k race on the whole output). In both paths the contributions to
+// one output element arrive in k-ascending order regardless of
+// chunking, so results are bit-identical at any worker count.
 //
 // Like MatMulInto, zero entries of a are not skipped, so NaN/Inf in b
 // propagate (see the zero-skip note there).
@@ -166,23 +172,18 @@ func MatMulTransAInto(out, a, b *Matrix) {
 		// aᵀ element (i, k) is a[k][i].
 		av := gview[float64]{data: a.Data, rs: 1, cs: a.Cols}
 		bv := gview[float64]{data: b.Data, rs: b.Cols, cs: 1}
-		ParallelRowsCost(a.Cols, gemmRowCost(k, n), func(lo, hi int) {
-			packedGEMM(out.Data, out.Cols, av, bv, k, n, lo, hi, nil)
-		})
+		packedParallel(out.Data, out.Cols, av, bv, a.Cols, k, n, nil, gemmRowCost(k, n))
 		return
 	}
-	ParallelRows(a.Cols, a.Rows*b.Cols, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := out.RowView(i)
-			for j := range orow {
-				orow[j] = 0
-			}
+	parallelGEMM(a.Cols, b.Cols, Cost{Flops: a.Rows * b.Cols}, axpyColBlock, func(ilo, ihi, jlo, jhi int) {
+		for i := ilo; i < ihi; i++ {
+			clear(out.RowView(i)[jlo:jhi])
 		}
 		for k := 0; k < a.Rows; k++ {
 			arow := a.RowView(k)
-			brow := b.RowView(k)
-			for i := lo; i < hi; i++ {
-				axpy(arow[i], brow, out.RowView(i))
+			brow := b.RowView(k)[jlo:jhi]
+			for i := ilo; i < ihi; i++ {
+				axpy(arow[i], brow, out.RowView(i)[jlo:jhi])
 			}
 		}
 	})
@@ -216,16 +217,14 @@ func MatMulCols(out, a, b *Matrix, cols []int) {
 		k, n := a.Cols, len(cols)
 		av := gview[float64]{data: a.Data, rs: a.Cols, cs: 1}
 		bv := gview[float64]{data: b.Data, rs: b.Cols, cs: 1}
-		ParallelRowsCost(a.Rows, gemmRowCost(k, n), func(lo, hi int) {
-			packedGEMM(out.Data, out.Cols, av, bv, k, n, lo, hi, cols)
-		})
+		packedParallel(out.Data, out.Cols, av, bv, a.Rows, k, n, cols, gemmRowCost(k, n))
 		return
 	}
-	ParallelRows(a.Rows, a.Cols*len(cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	parallelGEMM(a.Rows, len(cols), Cost{Flops: a.Cols * len(cols)}, dotColBlock, func(ilo, ihi, jlo, jhi int) {
+		for i := ilo; i < ihi; i++ {
 			arow := a.RowView(i)
 			orow := out.RowView(i)
-			for _, j := range cols {
+			for _, j := range cols[jlo:jhi] {
 				var s float64
 				for k, av := range arow {
 					s += av * b.Data[k*b.Cols+j]

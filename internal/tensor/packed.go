@@ -38,10 +38,19 @@ import (
 // i.e. one fused multiply-add chain in ascending-k order. KC panels
 // store the running sum to out and reload it (a float64 round trip is
 // exact), MC/NC boundaries touch only *which* elements a tile owns, and
-// row chunks never split a k chain — so results are bit-identical for
-// any worker count and any block configuration. The float32 kernel uses
-// plain multiply-then-add (math.FMA is float64-only) and satisfies the
-// same chain contract in float32 arithmetic.
+// parallel chunks never split a k chain — so results are bit-identical
+// for any worker count and any block configuration. The float32 kernel
+// uses plain multiply-then-add (math.FMA is float64-only) and satisfies
+// the same chain contract in float32 arithmetic.
+//
+// Parallel chunks are blocks of output rows or of output columns,
+// chosen by shape alone (parallelGEMM in parallel.go): rows when the
+// product has at least 2·MC of them, columns otherwise. Row chunks are
+// at least MC tall, so a skinny operand — a batch-20 layer, m = 20 —
+// would be a single serial chunk; a column chunk instead packs its own
+// slice of the B panel and runs the full k loop over it. Either way a
+// chunk owns whole elements and runs their chains exactly as the serial
+// loop does, so the partition cannot change a bit of the result.
 //
 // Zero entries are never skipped: 0·NaN and 0·Inf must propagate so the
 // trainer's divergence rollback fires (same contract as axpy/dot).
@@ -136,11 +145,14 @@ func usePacked(m, k, n int) bool {
 		m*k*n >= packedMinFlops
 }
 
-// packBufs holds one goroutine's packed-panel scratch between pool
-// trips; packedGEMM borrows a pair per call so parallel chunks never
-// share buffers.
+// packBufs holds one goroutine's packed-panel scratch and micro-kernel
+// accumulator tile between pool trips; packedGEMM borrows one per call
+// so parallel chunks never share buffers. Keeping the tile here, rather
+// than in a local that escapes through the micro-kernel's indirect call,
+// is what makes the tile loop allocation-free.
 type packBufs[T Float] struct {
 	a, b []T
+	acc  microAcc[T]
 }
 
 var (
@@ -148,15 +160,22 @@ var (
 	packPool32 = sync.Pool{New: func() any { return new(packBufs[float32]) }}
 )
 
-// getPackBufs borrows a scratch pair for T; release returns it.
-func getPackBufs[T Float]() (bufs *packBufs[T], release func()) {
+// getPackBufs borrows a scratch set for T; putPackBufs returns it.
+func getPackBufs[T Float]() *packBufs[T] {
 	switch any(T(0)).(type) {
 	case float64:
-		p := packPool64.Get().(*packBufs[float64])
-		return any(p).(*packBufs[T]), func() { packPool64.Put(p) }
+		return packPool64.Get().(*packBufs[T])
 	default:
-		p := packPool32.Get().(*packBufs[float32])
-		return any(p).(*packBufs[T]), func() { packPool32.Put(p) }
+		return packPool32.Get().(*packBufs[T])
+	}
+}
+
+func putPackBufs[T Float](bufs *packBufs[T]) {
+	switch any(T(0)).(type) {
+	case float64:
+		packPool64.Put(bufs)
+	default:
+		packPool32.Put(bufs)
 	}
 }
 
@@ -416,8 +435,8 @@ func storeTile[T Float](acc *microAcc[T], out []T, ldOut, i0, rows, j0, w int, c
 	}
 }
 
-// packedGEMM computes, for output rows i in [lo, hi) and logical columns
-// j in [0, n):
+// packedGEMM computes, for output rows i in [ilo, ihi) and logical
+// columns j in [jlo, jhi):
 //
 //	out[i, J(j)] = Σ_k a(i, k) · b(k, J(j))   for k in [0, kdim)
 //
@@ -427,24 +446,22 @@ func storeTile[T Float](acc *microAcc[T], out []T, ldOut, i0, rows, j0, w int, c
 // stride ldOut. Callers validate shapes and index ranges; this core
 // assumes them.
 //
-// Parallel sharding hands each chunk a [lo, hi) row range; every other
-// loop bound is global, so per-element chains are chunk-independent (the
-// bit-identity contract).
-func packedGEMM[T Float](out []T, ldOut int, a, b gview[T], kdim, n, lo, hi int, cols []int) {
-	if hi <= lo || n <= 0 {
+// Parallel sharding hands each chunk a block of rows or of columns (see
+// parallelGEMM); the k loop is global, so per-element chains are
+// chunk-independent (the bit-identity contract).
+func packedGEMM[T Float](out []T, ldOut int, a, b gview[T], kdim, ilo, ihi, jlo, jhi int, cols []int) {
+	if ihi <= ilo || jhi <= jlo {
 		return
 	}
 	if kdim == 0 {
 		// An empty reduction writes zeros (matching the streaming
 		// kernels), touching only the listed columns.
-		for i := lo; i < hi; i++ {
+		for i := ilo; i < ihi; i++ {
 			row := out[i*ldOut:]
 			if cols == nil {
-				for j := 0; j < n; j++ {
-					row[j] = 0
-				}
+				clear(row[jlo:jhi])
 			} else {
-				for _, j := range cols[:n] {
+				for _, j := range cols[jlo:jhi] {
 					row[j] = 0
 				}
 			}
@@ -453,18 +470,19 @@ func packedGEMM[T Float](out []T, ldOut int, a, b gview[T], kdim, n, lo, hi int,
 	}
 	cfg := GEMMBlockConfig()
 	micro := microKernel[T]()
-	bufs, release := getPackBufs[T]()
-	defer release()
-	for jc := 0; jc < n; jc += cfg.NC {
-		ncb := min(cfg.NC, n-jc)
+	bufs := getPackBufs[T]()
+	defer putPackBufs(bufs)
+	acc := &bufs.acc
+	for jc := jlo; jc < jhi; jc += cfg.NC {
+		ncb := min(cfg.NC, jhi-jc)
 		nStrips := (ncb + microNR - 1) / microNR
 		for pc := 0; pc < kdim; pc += cfg.KC {
 			kcb := min(cfg.KC, kdim-pc)
 			bufs.b = growSlice(bufs.b, nStrips*kcb*microNR)
 			packB(bufs.b, b, pc, kcb, jc, ncb, cols)
 			first := pc == 0
-			for ic := lo; ic < hi; ic += cfg.MC {
-				mcb := min(cfg.MC, hi-ic)
+			for ic := ilo; ic < ihi; ic += cfg.MC {
+				mcb := min(cfg.MC, ihi-ic)
 				mStrips := (mcb + microMR - 1) / microMR
 				bufs.a = growSlice(bufs.a, mStrips*kcb*microMR)
 				packA(bufs.a, a, ic, mcb, pc, kcb)
@@ -474,10 +492,9 @@ func packedGEMM[T Float](out []T, ldOut int, a, b gview[T], kdim, n, lo, hi int,
 					for ir := 0; ir < mcb; ir += microMR {
 						as := bufs.a[(ir/microMR)*kcb*microMR:][:kcb*microMR]
 						rows := min(microMR, mcb-ir)
-						var acc microAcc[T]
-						loadTile(&acc, out, ldOut, ic+ir, rows, jc+jr, w, cols, first)
-						micro(kcb, as, bs, &acc)
-						storeTile(&acc, out, ldOut, ic+ir, rows, jc+jr, w, cols)
+						loadTile(acc, out, ldOut, ic+ir, rows, jc+jr, w, cols, first)
+						micro(kcb, as, bs, acc)
+						storeTile(acc, out, ldOut, ic+ir, rows, jc+jr, w, cols)
 					}
 				}
 			}

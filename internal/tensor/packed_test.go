@@ -420,3 +420,46 @@ func TestMatMulValidationPrecedesWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestGEMMAllocsPerCall pins the allocation-free tile loop: a packed
+// product allocates a fixed handful of objects per call — the sharding
+// closures and the pool's fork/join state — never one per micro-tile.
+// The shapes range from ~2.5k to ~33k 2×4 tiles, so an allocation that
+// scaled with the tile count would blow the bound by orders of
+// magnitude. (A per-tile accumulator that escaped through the
+// micro-kernel's indirect call once cost ~400k allocations per training
+// step.)
+func TestGEMMAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	if !usePacked(20, 784, 1000) || !usePacked(512, 512, 512) || !usePacked(1000, 20, 1000) {
+		t.Fatal("test shapes no longer dispatch to the packed path")
+	}
+	g := rng.New(904)
+	x := randDense(g, 20, 784)
+	w := randDense(g, 784, 1000)
+	sq := randDense(g, 512, 512)
+	delta := randDense(g, 20, 1000)
+	fwd, sqOut, grad := New(20, 1000), New(512, 512), New(1000, 1000)
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"MatMulInto 20x784x1000", func() { MatMulInto(fwd, x, w) }},
+		{"MatMulInto 512x512x512", func() { MatMulInto(sqOut, sq, sq) }},
+		{"MatMulTransAInto k=20 1000x1000", func() { MatMulTransAInto(grad, delta, delta) }},
+	}
+	for _, workers := range []int{1, 2, 4} {
+		// One closure per kernel and per shard rule, plus the pool's
+		// counter, wait group, chunk loop, and one task per helper.
+		limit := float64(4 + workers)
+		withWorkers(workers, func() {
+			for _, c := range cases {
+				if got := testing.AllocsPerRun(10, c.fn); got > limit {
+					t.Errorf("%s workers=%d: %v allocations per call, want <= %v", c.name, workers, got, limit)
+				}
+			}
+		})
+	}
+}

@@ -6,7 +6,7 @@ import (
 	"samplednn/internal/pool"
 )
 
-// The kernels in this package shard their output rows over the shared
+// The kernels in this package shard their output over the shared
 // worker pool (internal/pool). Two knobs keep small operands from
 // regressing: an operation must carry at least parallelCutoffWork of
 // effective work before the pool is consulted at all, and chunks are
@@ -21,9 +21,34 @@ import (
 // tuned for float64 compute-bound GEMM; it sent cheap bandwidth-bound
 // float32 ops to the pool below profitability.
 //
-// Determinism: a chunk owns a contiguous block of output rows, and the
-// per-row reduction order inside every kernel is identical to the serial
-// loop, so results are bit-identical for any worker count (including 1).
+// Row vs column sharding. Elementwise and reduction kernels shard rows
+// (ParallelRowsCost). The GEMM kernels go through parallelGEMM, which
+// picks between two partitions of the m×n output by shape alone:
+//
+//   - Row blocks, when the product is tall enough for two full row
+//     chunks: m ≥ 2·grain and m ≥ packedMinDim, where the packed
+//     kernels' grain is the MC block height (so an A block amortizes
+//     its packing) and the streaming kernels' is usually one row.
+//   - Column blocks otherwise, at least colGrain wide (packed: NC/4,
+//     each chunk packing its own slice of the B panel; streaming:
+//     axpyColBlock or dotColBlock) and rounded up to a multiple of
+//     microNR.
+//
+// Rows alone would leave every product under two row chunks — the
+// batch-20 forward x·W and backward delta·Wᵀ (m = 20 < 2·MC) and every
+// batch-1 GEMV (m = 1) — as one chunk on one core however wide W is,
+// since a packed row chunk must be MC tall. The worker count never
+// enters the rule: it decides only whether the chunks run concurrently
+// (one worker runs the whole product as a single chunk).
+//
+// Determinism: a chunk owns a block of output elements — whole rows or
+// whole columns — and never splits an element's reduction, which runs
+// in the same k-ascending order as the serial loop. Block boundaries
+// (row or column) only decide which chunk computes an element, never
+// how, so results are bit-identical for any worker count (including 1).
+// Column boundaries are multiples of microNR, so the four-way unrolled
+// axpy of the streaming kernels assigns every element to the same
+// unrolled or tail lane as the unsharded loop.
 const (
 	// parallelCutoffWork is the minimum operation size (in effective
 	// flops) worth distributing; below it the fork/join overhead of even
@@ -36,6 +61,14 @@ const (
 	// bench host the scalar kernels retire ~2 multiply-adds per streamed
 	// byte before going memory-bound, so 1 byte costs ~half a flop.
 	flopsPerByte = 2
+	// axpyColBlock and dotColBlock are the minimum column-chunk widths
+	// of the streaming (unpacked) GEMM kernels. An axpy kernel walks a
+	// chunk-wide stripe of every b row, so its stripes must be long for
+	// the prefetcher; a dot kernel reads whole b rows per output column,
+	// so narrow chunks only improve balance. Both were measured on the
+	// batch-1 784×1000 layers on a 2-core host.
+	axpyColBlock = 512
+	dotColBlock  = 128
 )
 
 // Cost describes one parallel operation's per-row resource use, the
@@ -109,18 +142,41 @@ func ParallelRowsCost(n int, c Cost, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	eff := c.effFlops()
 	p := currentPool()
-	if p.Workers() <= 1 || n*eff < parallelCutoffWork {
+	if p.Workers() <= 1 || n*c.effFlops() < parallelCutoffWork {
 		fn(0, n)
 		return
 	}
-	grain := chunkTargetWork / eff
-	if grain < 1 {
-		grain = 1
+	p.ParallelRows(n, c.rowGrain(), fn)
+}
+
+// rowGrain is the row-chunk height for cost c: enough rows to carry
+// chunkTargetWork, and at least c.MinRows.
+func (c Cost) rowGrain() int {
+	return max(chunkTargetWork/c.effFlops(), c.MinRows, 1)
+}
+
+// parallelGEMM shards the m×n output of a GEMM kernel over the worker
+// pool and calls fn(ilo, ihi, jlo, jhi) for every owned block of rows
+// [ilo, ihi) × logical columns [jlo, jhi). c is the per-output-row cost
+// (MinRows set on the packed path); colGrain is the minimum column-chunk
+// width. The partition is a function of (m, n, c, colGrain) only — see
+// the row-vs-column rule in the header comment.
+func parallelGEMM(m, n int, c Cost, colGrain int, fn func(ilo, ihi, jlo, jhi int)) {
+	if m <= 0 || n <= 0 {
+		return
 	}
-	if grain < c.MinRows {
-		grain = c.MinRows
+	eff := c.effFlops()
+	p := currentPool()
+	if p.Workers() <= 1 || m*eff < parallelCutoffWork {
+		fn(0, m, 0, n)
+		return
 	}
-	p.ParallelRows(n, grain, fn)
+	if grain := c.rowGrain(); m >= max(2*grain, packedMinDim) {
+		p.ParallelRows(m, grain, func(lo, hi int) { fn(lo, hi, 0, n) })
+		return
+	}
+	colEff := max(m*eff/n, 1)
+	grain := roundUp(max(colGrain, chunkTargetWork/colEff), microNR)
+	p.ParallelRows(n, grain, func(lo, hi int) { fn(0, m, lo, hi) })
 }

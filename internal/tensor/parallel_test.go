@@ -57,8 +57,11 @@ func sparseRandMatrix(g *rng.RNG, rows, cols int, zeroFrac float64) *Matrix {
 	return m
 }
 
-// kernelShapes covers degenerate (1×n, n×1, empty), small-serial, and
-// large-enough-to-parallelize shapes. (m, k, n) are the GEMM dims.
+// kernelShapes covers degenerate (1×n, n×1, empty), small-serial,
+// row-sharded, and skinny-but-wide shapes. (m, k, n) are the GEMM dims;
+// the last four have too few rows for two row chunks, so parallelGEMM
+// shards their output columns instead (streaming GEMV for m = 1, 2;
+// packed for m = 20, 50).
 var kernelShapes = [][3]int{
 	{1, 1, 1},
 	{1, 64, 1},
@@ -71,6 +74,10 @@ var kernelShapes = [][3]int{
 	{40, 40, 40},   // above the parallel cutoff
 	{100, 64, 100}, // well above, multiple chunks per worker
 	{257, 33, 129}, // odd sizes: last chunk shorter than grain
+	{1, 784, 1000}, // batch-1 GEMV at paper width
+	{2, 300, 700},
+	{20, 784, 1000}, // batch-20 layer at paper width
+	{50, 257, 1031}, // n not a multiple of the column block or microNR
 }
 
 // TestParallelKernelsBitIdenticalToSerial is the property test of the
@@ -85,10 +92,12 @@ func TestParallelKernelsBitIdenticalToSerial(t *testing.T) {
 		b := sparseRandMatrix(g, k, n, 0.3)
 		bt := sparseRandMatrix(g, n, k, 0.3)   // for a * btᵀ
 		tall := sparseRandMatrix(g, m, n, 0.3) // for aᵀ · tall (shared leading dim m)
-		// Column subsets for MatMulCols: empty, singleton, strided.
+		// Column subsets for MatMulCols: empty, singleton, strided, a
+		// strided set of at least NC columns once n allows, and a prefix
+		// whose width is no multiple of any column block.
 		colSets := [][]int{{}}
 		if n > 0 {
-			colSets = append(colSets, []int{0}, stride(n, 3))
+			colSets = append(colSets, []int{0}, stride(n, 3), stride(n, 2), stride(n, 1)[:n-n/3])
 		}
 		rowVec := make([]float64, k)
 		g.GaussianSlice(rowVec, 0, 1)
@@ -129,6 +138,30 @@ func TestParallelKernelsBitIdenticalToSerial(t *testing.T) {
 
 		var serial result
 		withWorkers(1, func() { serial = runAll() })
+
+		// Anchor the serial GEMMs to independent references, so the
+		// worker comparison below cannot pass on a bug every worker count
+		// shares: the packed path must equal the naive FMA chain bit for
+		// bit, the streaming path (axpy/dot order) must agree to rounding.
+		anchor := func(name string, got, want *Matrix, packed bool) {
+			if packed && !bitsEqual(got, want) || !packed && !EqualApprox(got, want, 1e-9) {
+				t.Errorf("%s disagrees with the naive reference at shape %v (packed=%v)", name, sh, packed)
+			}
+		}
+		full := naiveFMA(a, b)
+		anchor("MatMulInto", serial.mm, full, usePacked(m, k, n))
+		anchor("MatMulTransAInto", serial.ta, naiveFMA(a.T(), tall), usePacked(k, m, n))
+		anchor("MatMulTransBInto", serial.tb, naiveFMA(a, bt.T()), usePacked(m, k, n))
+		for ci, cs := range colSets {
+			want := New(m, n)
+			for _, j := range cs {
+				for i := 0; i < m; i++ {
+					want.Set(i, j, full.At(i, j))
+				}
+			}
+			anchor("MatMulCols", serial.cols[ci], want, usePacked(m, k, len(cs)))
+		}
+
 		for _, workers := range []int{2, 4, 7} {
 			var par result
 			withWorkers(workers, func() { par = runAll() })

@@ -79,7 +79,7 @@ func MatMulTransBSparseInto(out, a, b *Matrix, support []int) []int {
 			case segDense:
 				av := gview[float64]{data: a.Data, rs: a.Cols, cs: 1}
 				bv := gview[float64]{data: b.Data, rs: 1, cs: b.Cols}
-				packedGEMM(out.Data, out.Cols, av, bv, a.Cols, p, slo, shi, nil)
+				packedGEMM(out.Data, out.Cols, av, bv, a.Cols, slo, shi, 0, p, nil)
 			case segShared:
 				sharedSupportGEMM(out, a, b, sg.sup, slo, shi)
 			default:
@@ -121,8 +121,8 @@ func sparsePerRow(out, a, b *Matrix, lo, hi int, sup []int) []int {
 // |rows|×|sup| by (p×|sup|)ᵀ product straight into out's rows.
 func sharedSupportGEMM(out, a, b *Matrix, sup []int, lo, hi int) {
 	rows, ks, p := hi-lo, len(sup), b.Rows
-	bufs, release := getPackBufs[float64]()
-	defer release()
+	bufs := getPackBufs[float64]()
+	defer putPackBufs(bufs)
 	bufs.a = growSlice(bufs.a, rows*ks)
 	for i := 0; i < rows; i++ {
 		arow := a.RowView(lo + i)
@@ -141,7 +141,7 @@ func sharedSupportGEMM(out, a, b *Matrix, sup []int, lo, hi int) {
 	}
 	av := gview[float64]{data: bufs.a, rs: ks, cs: 1}
 	bv := gview[float64]{data: bufs.b, rs: 1, cs: ks} // gathered bᵀ
-	packedGEMM(out.Data[lo*out.Cols:], out.Cols, av, bv, ks, p, 0, rows, nil)
+	packedGEMM(out.Data[lo*out.Cols:], out.Cols, av, bv, ks, 0, rows, 0, p, nil)
 }
 
 // supportOf gathers the indices of row's nonzero entries into buf.
